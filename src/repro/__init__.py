@@ -16,8 +16,10 @@ Quick start::
     print(result.makespan_ns, "ns")
 """
 
-from . import (analog, circuits, compiler, core, fidelity, hardware,
-               harness, isa, network, quantum, sim, sync)
+import importlib
+
+from . import (circuits, compiler, core, fidelity, hardware, harness, isa,
+               network, quantum, sim, sync)
 from .compiler import compile_circuit, run_circuit
 from .quantum import QuantumCircuit
 from .sim import ControlSystem, SimulationConfig
@@ -30,3 +32,10 @@ __all__ = [
     "hardware", "harness", "isa", "network", "quantum", "run_circuit",
     "sim", "sync",
 ]
+
+
+def __getattr__(name):
+    # PEP 562: ``analog`` (and scipy with it) loads on first access only.
+    if name == "analog":
+        return importlib.import_module(".analog", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -143,6 +143,28 @@ class TestIntegrity:
         cached_compile(circuit, cache=cache)
         assert _delta(before)["misses"] == 1
 
+    def test_previous_version_entry_is_miss(self, tmp_path, monkeypatch):
+        """Entries written before the last version bump (whose pickled
+        topology used another graph representation) are keyed away: the
+        lookup misses and recompiles to exactly a fresh compilation."""
+        cache = CompileCache(str(tmp_path))
+        circuit = build_ghz(4)
+        with monkeypatch.context() as patch:
+            patch.setattr(compile_cache, "COMPILE_CACHE_VERSION",
+                          COMPILE_CACHE_VERSION - 1)
+            old_key = compile_key(circuit)
+            cached_compile(circuit, cache=cache)
+        assert old_key != compile_key(circuit)
+        assert cache.get(old_key) is None  # payload version check too
+        before = compile_cache_totals()
+        result = cached_compile(circuit, cache=cache)
+        assert _delta(before) == {"hits": 0, "misses": 1}
+        assert len(cache) == 2
+        fresh = compile_circuit(circuit)
+        assert result.topology == fresh.topology
+        assert result.programs == fresh.programs
+        assert result.sync_groups == fresh.sync_groups
+
     def test_recompile_republishes(self, tmp_path):
         cache, circuit = self._warm(tmp_path)
         for path in tmp_path.glob("*.pkl"):

@@ -124,3 +124,51 @@ class TestPathsAndLatency:
                               router_hop_cycles=8)
         assert topo.max_downstream_cycles(topo.root, [0, 5]) == 16
         assert topo.max_downstream_cycles(topo.parent[0], [0, 1]) == 8
+
+
+_MESHES = [
+    dict(mesh_kind="line"),
+    dict(mesh_kind="grid"),
+    dict(mesh_kind="custom", mesh_edges=[(0, 5), (3, 2), (7, 7), (19, 1)]),
+    dict(mesh_kind="none"),
+]
+
+
+@pytest.mark.parametrize("mesh", _MESHES,
+                         ids=[m["mesh_kind"] for m in _MESHES])
+class TestOrderPins:
+    """Orders the simulator depends on: ``ControlSystem`` builds and
+    iterates its routers in ``Topology.routers`` order."""
+
+    def test_routers_ascending_root_last(self, mesh):
+        topo = build_topology(20, fanout=4, **mesh)
+        assert topo.router_base == 20
+        assert topo.root == 27
+        assert topo.routers == list(range(topo.router_base, topo.root + 1))
+
+    def test_children_sorted(self, mesh):
+        topo = build_topology(20, fanout=4, **mesh)
+        assert topo.children(topo.root) == [25, 26]
+        assert topo.children(20) == [0, 1, 2, 3]
+        assert topo.children(24) == [16, 17, 18, 19]
+        assert topo.children(0) == []  # controllers are leaves
+
+    def test_subtree_controllers(self, mesh):
+        topo = build_topology(20, fanout=4, **mesh)
+        assert topo.subtree_controllers(topo.root) == list(range(20))
+        assert topo.subtree_controllers(25) == list(range(16))
+        assert topo.subtree_controllers(26) == [16, 17, 18, 19]
+
+    def test_neighbors_symmetric_and_irreflexive(self, mesh):
+        topo = build_topology(20, fanout=4, **mesh)
+        pairs = {(a, b) for a in range(20) for b in range(20)
+                 if topo.are_neighbors(a, b)}
+        assert pairs == {(b, a) for a, b in pairs}
+        assert all(a != b for a, b in pairs)
+        if mesh["mesh_kind"] == "custom":
+            assert pairs == {(0, 5), (5, 0), (2, 3), (3, 2), (1, 19),
+                             (19, 1)}
+        elif mesh["mesh_kind"] == "none":
+            assert not pairs
+        else:
+            assert topo.are_neighbors(0, 1) and topo.are_neighbors(1, 0)
