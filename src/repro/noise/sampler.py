@@ -33,6 +33,13 @@ stay reference-free for error injection — and it is how the companion
 Determinism: shot ``s`` draws from ``default_rng(derive_seed("noise",
 seed, s))`` regardless of execution order or chunking, so serial,
 parallel, and cache-replayed sweeps produce byte-identical shot tables.
+
+Identity-site skip: at low error rates almost every site draws the
+identity for every shot of a chunk.  Both exact-injection loops skip a
+site unless some shot's draw falls below its last cumulative bound.
+That is exact, not an approximation: ``searchsorted(bounds, u,
+"right")`` returns the identity bin ``len(bounds)`` iff ``u >=
+bounds[-1]``, so a skipped site would have applied nothing.
 """
 
 from __future__ import annotations
@@ -61,6 +68,10 @@ SV_AUTO_MAX_QUBITS = 14
 #: Chunk bound: at most this many (shot, site) uniforms live at once.
 _MAX_UNIFORM_ENTRIES = 1 << 22
 
+#: Statevector chunk bound: at most this many amplitudes per backend
+#: (``shots * 2**n``) live at once.
+_MAX_CHUNK_AMPLITUDES = 1 << 24
+
 
 class NoiseSamplingError(ReproError):
     """Raised on unsupported circuits/methods for noisy sampling."""
@@ -83,14 +94,13 @@ class _ErrorSite:
     paulis: Tuple[str, ...]
 
 
-def _error_site(site: int, qubits: Tuple[int, ...],
-                channel: PauliChannel) -> _ErrorSite:
+def _channel_tables(channel: PauliChannel) -> dict:
+    """A channel's site tables: cumulative bounds, Paulis, term masks."""
     bounds, paulis = channel.cumulative()
     term_x = tuple(tuple(PAULI_BITS[c][0] for c in p) for p in paulis)
     term_z = tuple(tuple(PAULI_BITS[c][1] for c in p) for p in paulis)
-    return _ErrorSite(site=site, qubits=qubits, channel=channel,
-                      bounds=bounds, term_x=term_x, term_z=term_z,
-                      paulis=paulis)
+    return {"bounds": bounds, "term_x": term_x, "term_z": term_z,
+            "paulis": paulis}
 
 
 @dataclass(frozen=True)
@@ -145,13 +155,27 @@ def compile_noise_program(circuit: QuantumCircuit, model: NoiseModel,
     """
     steps: List[_Step] = []
     sites = 0
+    # Memos local to this call: a circuit repeats a handful of channels
+    # thousands of times.  Idle channels carry per-cell float durations,
+    # so a module-level cache would grow without bound in a long-running
+    # service.
+    tables: Dict[PauliChannel, dict] = {}
+    slot_channels: Dict[tuple, list] = {}
+
+    def new_site(qubits: Tuple[int, ...],
+                 channel: PauliChannel) -> _ErrorSite:
+        nonlocal sites
+        table = tables.get(channel)
+        if table is None:
+            table = tables[channel] = _channel_tables(channel)
+        site = _ErrorSite(site=sites, qubits=qubits, channel=channel,
+                          **table)
+        sites += 1
+        return site
 
     def add_error(qubits: Tuple[int, ...], channel: PauliChannel):
-        nonlocal sites
-        site = _error_site(sites, qubits, channel)
-        sites += 1
-        steps.append(_Step(kind="error", qubits=qubits, error=site))
-        return site
+        steps.append(_Step(kind="error", qubits=qubits,
+                           error=new_site(qubits, channel)))
 
     for qubit in sorted(idle_channels or {}):
         add_error((qubit,), (idle_channels or {})[qubit])
@@ -168,9 +192,7 @@ def compile_noise_program(circuit: QuantumCircuit, model: NoiseModel,
                     add_error((op.qubits[0],), damping)
             flip_site = None
             if measure_channel is not None:
-                flip_site = _error_site(sites, (op.qubits[0],),
-                                        measure_channel)
-                sites += 1
+                flip_site = new_site((op.qubits[0],), measure_channel)
             steps.append(_Step(kind="measure", qubits=op.qubits,
                                cbit=op.cbit, condition=op.condition,
                                flip_site=flip_site))
@@ -181,9 +203,16 @@ def compile_noise_program(circuit: QuantumCircuit, model: NoiseModel,
             continue
         steps.append(_Step(kind="gate", qubits=op.qubits, name=op.name,
                            params=op.params, condition=op.condition))
-        for qubits, channel in model.gate_channels(
-                op.name, op.qubits, _slot_duration_ns(op, config)):
-            add_error(qubits, channel)
+        # Gate channels depend on qubit positions only, never identities.
+        arity = len(op.qubits)
+        duration = _slot_duration_ns(op, config)
+        key = (op.name, arity, duration)
+        channels = slot_channels.get(key)
+        if channels is None:
+            channels = slot_channels[key] = model.gate_channels(
+                op.name, tuple(range(arity)), duration)
+        for positions, channel in channels:
+            add_error(tuple(op.qubits[i] for i in positions), channel)
     return steps, sites
 
 
@@ -199,6 +228,20 @@ def _uniform_block(seed: int, shot_offset: int, shots: int,
     for s in range(shots):
         block[s] = _shot_uniforms(seed, shot_offset + s, num_sites)
     return block
+
+
+def _error_hits(steps: List[_Step], uniforms: np.ndarray) -> np.ndarray:
+    """Per site: does any shot of ``uniforms`` draw an error there?
+
+    Only error-step sites are flagged.  A draw lands in the identity bin
+    (``searchsorted(bounds, u, "right") == len(bounds)``) exactly when
+    ``u >= bounds[-1]``, so a site with no hit applies nothing.
+    """
+    last_bound = np.zeros(uniforms.shape[1])
+    for step in steps:
+        if step.kind == "error" and step.error.bounds:
+            last_bound[step.error.site] = step.error.bounds[-1]
+    return (uniforms < last_bound).any(axis=0)
 
 
 # -- results ------------------------------------------------------------------
@@ -374,6 +417,7 @@ def _sample_frames(circuit: QuantumCircuit, model: NoiseModel,
                    exact: bool) -> NoiseSample:
     n, m = circuit.num_qubits, circuit.num_clbits
     uniforms = _uniform_block(seed, shot_offset, shots, num_sites)
+    hit = _error_hits(steps, uniforms)
     fx = np.zeros((shots, n), dtype=np.uint8)
     fz = np.zeros((shots, n), dtype=np.uint8)
     flips = np.zeros((shots, max(m, 1)), dtype=np.uint8)
@@ -382,8 +426,9 @@ def _sample_frames(circuit: QuantumCircuit, model: NoiseModel,
     gate_index = 0
     for step in steps:
         if step.kind == "error":
-            _apply_error_to_frames(step.error, uniforms[:, step.error.site],
-                                   fx, fz)
+            if hit[step.error.site]:
+                _apply_error_to_frames(step.error,
+                                       uniforms[:, step.error.site], fx, fz)
             continue
         if step.kind == "reset":
             q = step.qubits[0]
@@ -443,6 +488,7 @@ def _sample_statevector(circuit: QuantumCircuit, model: NoiseModel,
                         ) -> NoiseSample:
     n, m = circuit.num_qubits, circuit.num_clbits
     uniforms = _uniform_block(seed, shot_offset, shots, num_sites)
+    hit = _error_hits(steps, uniforms)
     # Identical per-shot measurement streams: zero noise => bit identity.
     reference = BatchedStatevectorBackend(n, shots, seed=seed)
     noisy = BatchedStatevectorBackend(n, shots, seed=seed)
@@ -459,7 +505,7 @@ def _sample_statevector(circuit: QuantumCircuit, model: NoiseModel,
     for step in steps:
         if step.kind == "error":
             site = step.error
-            if not site.bounds:
+            if not hit[site.site]:
                 continue
             index = np.searchsorted(site.bounds, uniforms[:, site.site],
                                     side="right")
@@ -650,8 +696,7 @@ def sample_noisy(circuit: QuantumCircuit, model: NoiseModel, shots: int,
                                  sample.flips).astype(np.int8)
         return sample
     if method == "statevector":
-        per_chunk_amplitudes = 1 << 24
-        chunk = max(1, per_chunk_amplitudes >> circuit.num_qubits)
+        chunk = max(1, _MAX_CHUNK_AMPLITUDES >> circuit.num_qubits)
         parts = [_sample_statevector(circuit, model, steps, num_sites,
                                      min(chunk, shots - offset), offset,
                                      seed)

@@ -35,21 +35,47 @@ _MAX_QUBITS = 22
 # strided views of the state tensor instead of the old moveaxis +
 # ascontiguousarray reshuffle, which copied the whole state twice per
 # gate; the ubiquitous cx/cz/swap gates take a fused permutation/phase
-# shortcut that never materializes a matrix product.  ``state`` may be
-# ``(2**n,)`` or ``(shots, 2**n)``; the kernels broadcast over leading
-# axes.
+# shortcut that never materializes a matrix product, and diagonal or
+# anti-diagonal 1-qubit gates scale or swap halves the same way.
+# ``state`` may be ``(2**n,)`` or ``(shots, 2**n)``; the kernels
+# broadcast over leading axes.  Measurement is one kernel too: a single
+# state is measured as a one-row batch.
 
 
 def _apply_1q_kernel(state: np.ndarray, matrix: np.ndarray,
                      qubit: int) -> None:
-    """In-place 1-qubit gate on the last axis of ``state``."""
+    """In-place 1-qubit gate on the last axis of ``state``.
+
+    Diagonal gates (rz, u1, z, s, t, ...) scale each half in place,
+    skipping a factor of exactly 1; anti-diagonal ones (x, y) swap the
+    halves with their factors.  Both give the general formula's values:
+    the dropped ``0 * amplitude`` terms can only change a zero's sign.
+    The factor stays the *first* operand, as in the general formula:
+    numpy's vectorized complex product rounds ``m * a`` and ``a * m``
+    differently.
+    """
     psi = state.reshape(state.shape[:-1] + (-1, 1 << (qubit + 1)))
     lo = psi[..., :1 << qubit]
     hi = psi[..., 1 << qubit:]
-    new_lo = matrix[0, 0] * lo + matrix[0, 1] * hi
-    new_hi = matrix[1, 0] * lo + matrix[1, 1] * hi
-    psi[..., :1 << qubit] = new_lo
-    psi[..., 1 << qubit:] = new_hi
+    (m00, m01), (m10, m11) = matrix
+    if m01 == 0 and m10 == 0:
+        if m00 != 1:
+            np.multiply(m00, lo, out=lo)
+        if m11 != 1:
+            np.multiply(m11, hi, out=hi)
+        return
+    if m00 == 0 and m11 == 0:
+        new_lo = hi.copy() if m01 == 1 else m01 * hi
+        if m10 == 1:
+            hi[...] = lo
+        else:
+            np.multiply(m10, lo, out=hi)
+        lo[...] = new_lo
+        return
+    new_lo = m00 * lo + m01 * hi
+    new_hi = m10 * lo + m11 * hi
+    lo[...] = new_lo
+    hi[...] = new_hi
 
 
 def _apply_2q_kernel(state: np.ndarray, matrix: np.ndarray, n: int,
@@ -102,29 +128,43 @@ def _apply_2q_kernel(state: np.ndarray, matrix: np.ndarray, n: int,
     psi[block(1, 1)] = n11
 
 
-def _measure_inplace(state: np.ndarray, rng, qubit: int,
-                     forced: Optional[int] = None) -> int:
-    """Projectively measure ``qubit`` of a 1-D ``state``; collapse in place."""
-    psi = state.reshape(-1, 1 << (qubit + 1))
-    hi = psi[:, 1 << qubit:]
-    p1 = float(np.sum(np.abs(hi) ** 2))
-    if forced is None:
-        outcome = int(rng.random() < p1)
-    else:
-        outcome = int(forced)
-        prob = p1 if outcome else 1.0 - p1
+def _measure_inplace(states: np.ndarray, rngs: Sequence, qubit: int,
+                     forced: Optional[Sequence[Optional[int]]] = None
+                     ) -> np.ndarray:
+    """Projectively measure ``qubit`` on every row of a C-contiguous
+    ``(k, 2**n)`` array; collapse in place and return the int8 outcomes.
+
+    Row ``i`` draws from ``rngs[i]`` (rows in order, one draw each)
+    unless ``forced[i]`` post-selects its outcome.  ``p1`` is one
+    contiguous reduction per row, so a row's floats do not depend on
+    how many rows are measured together.
+    """
+    k = states.shape[0]
+    psi = states.reshape(k, -1, 1 << (qubit + 1))
+    lo = psi[..., :1 << qubit]
+    hi = psi[..., 1 << qubit:]
+    p1 = (np.abs(hi) ** 2).reshape(k, -1).sum(axis=1)
+    ones = np.empty(k, dtype=bool)
+    for i in range(k):
+        want = None if forced is None else forced[i]
+        if want is None:
+            ones[i] = rngs[i].random() < p1[i]
+            continue
+        ones[i] = int(want) != 0
+        prob = p1[i] if ones[i] else 1.0 - p1[i]
         if prob < 1e-12:
             raise QuantumStateError(
                 "cannot post-select outcome {} with probability 0".format(
-                    outcome))
-    if outcome:
-        psi[:, :1 << qubit] = 0.0
-        norm = np.sqrt(p1)
-    else:
-        psi[:, 1 << qubit:] = 0.0
-        norm = np.sqrt(1.0 - p1)
-    state /= norm
-    return outcome
+                    int(ones[i])))
+    norm = np.sqrt(np.where(ones, p1, 1.0 - p1))
+    lo[ones] = 0.0
+    hi[~ones] = 0.0
+    # numpy divides a complex by a real ``norm`` (Smith's algorithm, zero
+    # imaginary part) as exactly ``part * (1.0 / norm)`` on both parts;
+    # scaling the float view does that at a third of the cost.
+    parts = states.view(np.float64)
+    parts *= (1.0 / norm)[:, None]
+    return ones.astype(np.int8)
 
 
 def _shot_seed(seed: Optional[int], shot: int):
@@ -197,7 +237,8 @@ class StatevectorBackend:
         ``forced`` post-selects an outcome (must have nonzero probability).
         """
         self._check(qubit)
-        return _measure_inplace(self.state, self.rng, qubit, forced)
+        return int(_measure_inplace(self.state[None], [self.rng], qubit,
+                                    [forced])[0])
 
     def reset(self, qubit: int) -> int:
         """Measure then flip to |0> if needed; returns the measured bit."""
@@ -346,13 +387,16 @@ class BatchedStatevectorBackend:
         sample).  Inactive shots are untouched and report 0.
         """
         self._check(qubit)
+        if active is None or bool(active.all()):
+            return _measure_inplace(self.states, self.rngs, qubit, forced)
         outcomes = np.zeros(self.shots, dtype=np.int8)
-        for s in range(self.shots):
-            if active is not None and not active[s]:
-                continue
-            want = forced[s] if forced is not None else None
-            outcomes[s] = _measure_inplace(self.states[s], self.rngs[s],
-                                           qubit, want)
+        rows = np.flatnonzero(active)
+        if rows.size:
+            block = self.states[rows]
+            outcomes[rows] = _measure_inplace(
+                block, [self.rngs[s] for s in rows], qubit,
+                None if forced is None else [forced[s] for s in rows])
+            self.states[rows] = block
         return outcomes
 
     def reset(self, qubit: int,

@@ -1,5 +1,8 @@
 """Sampler correctness: differential vs noiseless backends, frame-vs-
-stabilizer validation, proxy convergence, method selection, estimator."""
+stabilizer validation, proxy convergence, method selection, estimator,
+and a pinned digest of the sampled bits."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -252,6 +255,24 @@ class TestMethodSelection:
         assert np.array_equal(whole.flips, chunked.flips)
         assert np.array_equal(whole.survival, chunked.survival)
 
+    def test_statevector_chunking_is_invisible(self, rng_seed, monkeypatch):
+        # Chunks after the first re-seed their measurement streams from
+        # the absolute shot index; random outcomes, feedback and resets
+        # make any misalignment visible.
+        import repro.noise.sampler as sampler_module
+        from repro.testing import random_dynamic_circuit
+        circuit = random_dynamic_circuit(3, 40, seed=rng_seed % 1000)
+        whole = sample_noisy(circuit, DEPOLARIZING, 40, seed=rng_seed,
+                             method="statevector")
+        monkeypatch.setattr(sampler_module, "_MAX_CHUNK_AMPLITUDES", 24)
+        chunked = sample_noisy(circuit, DEPOLARIZING, 40, seed=rng_seed,
+                               method="statevector")
+        assert np.array_equal(whole.noisy_bits, chunked.noisy_bits)
+        assert np.array_equal(whole.reference_bits, chunked.reference_bits)
+        assert np.array_equal(whole.record_error, chunked.record_error)
+        assert np.array_equal(whole.survival, chunked.survival)
+        assert 0 < whole.record_error_count < 40
+
 
 class TestEstimator:
     def test_wilson_interval_extremes(self):
@@ -290,3 +311,57 @@ class TestEstimator:
             circuit, NoiseModel(gate_1q=1e-2, gate_2q=1e-1), 2000,
             seed=rng_seed)
         assert loud.estimate < quiet.estimate
+
+
+class TestPinnedSamples:
+    """Speed work on the sampler must not change one sampled bit.
+
+    The digest covers every ``NoiseSample`` array and the method of the
+    eleven distinct ``paper`` circuits at scale 0.03 (the circuits of a
+    warm benchmark sweep) under ``depolarizing_1e3`` with 32 shots.
+    Those circuits exercise all three methods.  The digest was taken
+    before the diagonal/permutation kernels, the vectorized batched
+    measurement, the identity-site skip and the per-call channel memo
+    went in, and must never change.
+    """
+
+    DIGEST = ("c5c5854fd96b2433041309d3b46f092425ca1a59"
+              "c5e51603879f140f095344aa")
+    FIELDS = ("flips", "record_error", "survival", "desynced",
+              "reference_bits", "noisy_bits")
+
+    @staticmethod
+    def _circuits():
+        from repro.harness import registry
+        registry.ensure_builtin_workloads()
+        distinct = {}
+        for name in registry.workload_names(["paper"]):
+            circuit = registry.get_workload(name).spec(0.03, 0.25).circuit()
+            key = repr(((circuit.num_qubits, circuit.num_clbits),
+                        [(op.name, op.qubits, op.params, op.cbit,
+                          op.condition) for op in circuit]))
+            distinct.setdefault(key, (name, circuit))
+        return list(distinct.values())
+
+    def test_sampled_bits_are_pinned(self):
+        from repro.noise.model import PRESETS, derive_seed
+        from repro.sim.config import SimulationConfig
+        circuits = self._circuits()
+        assert len(circuits) == 11
+        digest = hashlib.sha256()
+        methods = set()
+        for name, circuit in circuits:
+            sample = sample_noisy(circuit, PRESETS["depolarizing_1e3"], 32,
+                                  seed=derive_seed("digest", name),
+                                  config=SimulationConfig())
+            methods.add(sample.method)
+            digest.update(sample.method.encode())
+            for field in self.FIELDS:
+                array = getattr(sample, field)
+                digest.update(field.encode())
+                if array is not None:
+                    digest.update(repr((array.dtype.str,
+                                        array.shape)).encode())
+                    digest.update(np.ascontiguousarray(array).tobytes())
+        assert methods == {"frame", "frame_approx", "statevector"}
+        assert digest.hexdigest() == self.DIGEST

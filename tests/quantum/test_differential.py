@@ -8,16 +8,22 @@ Two independent implementations constrain each other:
   bits must agree in distribution;
 * batched multi-shot statevector execution must match the per-shot loop
   **bit for bit** under a fixed seed, for static, dynamic and Clifford
-  circuits alike.
+  circuits alike;
+* the diagonal/anti-diagonal 1-qubit kernel shortcuts must reproduce
+  the general 2x2 formula exactly, and the vectorized batched
+  measurement must collapse each state exactly as a per-shot run does.
 """
 
 import numpy as np
 import pytest
 
+from repro.errors import QuantumStateError
+from repro.quantum.gates import gate_matrix
 from repro.quantum.stabilizer import StabilizerBackend
 from repro.quantum.statevector import (BatchedStatevectorBackend,
-                                       StatevectorBackend,
-                                       measurement_counts, run_multishot)
+                                       StatevectorBackend, _apply_1q_kernel,
+                                       _shot_seed, measurement_counts,
+                                       run_multishot)
 from repro.testing import random_clifford_circuit, random_dynamic_circuit
 
 CLIFFORD_CASES = [(2, 30, 11), (3, 40, 12), (4, 60, 13), (5, 80, 14),
@@ -166,3 +172,118 @@ class TestBatchedVsShotLoop:
         rows = run_multishot(circuit, 17, seed=0)
         assert rows.shape == (17, circuit.num_clbits)
         assert rows.dtype == np.int8
+
+
+#: Every diagonal (z, s, sdg, t, tdg, rz, u1) and anti-diagonal (x, y)
+#: 1-qubit gate — the ones the kernel's shortcuts serve.
+FAST_PATH_GATES = [("x", ()), ("y", ()), ("z", ()), ("s", ()), ("sdg", ()),
+                   ("t", ()), ("tdg", ()), ("rz", (0.7,)), ("rz", (-2.9,)),
+                   ("u1", (1.3,)), ("u1", (np.pi / 2,))]
+
+
+def _general_1q(state, matrix, qubit):
+    """The general formula the shortcuts must reproduce."""
+    psi = state.reshape(state.shape[:-1] + (-1, 1 << (qubit + 1)))
+    lo = psi[..., :1 << qubit]
+    hi = psi[..., 1 << qubit:]
+    new_lo = matrix[0, 0] * lo + matrix[0, 1] * hi
+    new_hi = matrix[1, 0] * lo + matrix[1, 1] * hi
+    psi[..., :1 << qubit] = new_lo
+    psi[..., 1 << qubit:] = new_hi
+
+
+def _reference_measure(state, rng, qubit, forced=None):
+    """Per-shot projective measurement written out plainly: the
+    reference the vectorized kernel's collapse must reproduce."""
+    psi = state.reshape(-1, 1 << (qubit + 1))
+    p1 = float(np.sum(np.abs(psi[:, 1 << qubit:]) ** 2))
+    outcome = int(rng.random() < p1) if forced is None else forced
+    if outcome:
+        psi[:, :1 << qubit] = 0.0
+        state /= np.sqrt(p1)
+    else:
+        psi[:, 1 << qubit:] = 0.0
+        state /= np.sqrt(1.0 - p1)
+    return outcome
+
+
+def _random_states(rng, shape):
+    states = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return states / np.linalg.norm(states, axis=-1, keepdims=True)
+
+
+class TestKernelFastPaths:
+    @pytest.mark.parametrize("name,params", FAST_PATH_GATES)
+    @pytest.mark.parametrize("shape", [(1 << 5,), (7, 1 << 5)])
+    def test_matches_general_formula(self, name, params, shape, rng):
+        matrix = gate_matrix(name, params)
+        assert matrix[0, 1] == matrix[1, 0] == 0 or \
+            matrix[0, 0] == matrix[1, 1] == 0
+        for qubit in range(5):
+            state = _random_states(rng, shape)
+            fast, general = state.copy(), state.copy()
+            _apply_1q_kernel(fast, matrix, qubit)
+            _general_1q(general, matrix, qubit)
+            assert np.array_equal(fast, general), (name, shape, qubit)
+
+
+class TestBatchedMeasure:
+    """The vectorized measure against per-shot runs, states included."""
+
+    def _trio(self, rng, num_qubits, shots, seed):
+        """A batched backend on random states, per-shot backends and
+        reference (state, rng) pairs holding the same states and
+        streams."""
+        batched = BatchedStatevectorBackend(num_qubits, shots, seed=seed)
+        batched.states[:] = _random_states(rng, batched.states.shape)
+        singles, references = [], []
+        for s in range(shots):
+            single = StatevectorBackend(num_qubits, seed=_shot_seed(seed, s))
+            single.state = batched.states[s].copy()
+            singles.append(single)
+            stream = np.random.default_rng(_shot_seed(seed, s))
+            references.append((batched.states[s].copy(), stream))
+        return batched, singles, references
+
+    def _check_shot(self, batched, singles, references, s, qubit, outcome,
+                    forced=None):
+        assert outcome == singles[s].measure(qubit, forced=forced)
+        assert np.array_equal(batched.states[s], singles[s].state)
+        state, stream = references[s]
+        assert outcome == _reference_measure(state, stream, qubit, forced)
+        assert np.array_equal(batched.states[s], state)
+
+    @pytest.mark.parametrize("qubit", [0, 2, 3])
+    def test_masked_and_forced_match_per_shot(self, qubit, rng):
+        shots = 9
+        batched, singles, references = self._trio(rng, 4, shots, seed=17)
+        before = batched.states.copy()
+        active = np.array([1, 0, 1, 1, 0, 1, 1, 0, 1], dtype=bool)
+        forced = [None, 1, 0, None, 1, 1, None, 0, None]
+        outcomes = batched.measure(qubit, forced=forced, active=active)
+        for s in range(shots):
+            if not active[s]:
+                assert outcomes[s] == 0
+                assert np.array_equal(batched.states[s], before[s])
+                continue
+            self._check_shot(batched, singles, references, s, qubit,
+                             outcomes[s], forced[s])
+
+    def test_unmasked_repeated_measures_match_per_shot(self, rng):
+        shots = 6
+        batched, singles, references = self._trio(rng, 3, shots, seed=5)
+        for qubit in (1, 0, 2, 1):
+            outcomes = batched.measure(qubit)
+            for s in range(shots):
+                self._check_shot(batched, singles, references, s, qubit,
+                                 outcomes[s])
+
+    def test_zero_probability_forced_outcome_raises(self):
+        batched = BatchedStatevectorBackend(2, 3, seed=1)
+        with pytest.raises(QuantumStateError, match="probability 0"):
+            batched.measure(0, forced=[None, 1, None])
+        active = np.array([False, True, True])
+        with pytest.raises(QuantumStateError, match="probability 0"):
+            batched.measure(1, forced=[None, None, 1], active=active)
+        with pytest.raises(QuantumStateError, match="probability 0"):
+            StatevectorBackend(2, seed=1).measure(0, forced=1)
