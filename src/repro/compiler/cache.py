@@ -56,7 +56,7 @@ to a clean recompile (which re-publishes the entry).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict
+from dataclasses import fields
 from typing import Dict, Optional
 
 import numpy as np
@@ -134,6 +134,18 @@ def _circuit_fingerprint(circuit) -> str:
     return fingerprint
 
 
+def config_fingerprint(config: SimulationConfig) -> tuple:
+    """The config's fields as sorted ``(name, value)`` pairs.
+
+    Every field is a scalar, so this has the same ``repr`` as the
+    ``sorted(asdict(config).items())`` form the store keys were first
+    defined with (keys stay byte-identical) without ``asdict``'s
+    recursive deep copy.  Shared by :func:`compile_key` and the sweep
+    cell key."""
+    return tuple(sorted((f.name, getattr(config, f.name))
+                        for f in fields(config)))
+
+
 def compile_key(circuit, scheme: str = "bisp",
                 config: Optional[SimulationConfig] = None,
                 qubits_per_controller: int = 1,
@@ -153,7 +165,7 @@ def compile_key(circuit, scheme: str = "bisp",
         ("compile_cache_version", COMPILE_CACHE_VERSION),
         ("circuit", _circuit_fingerprint(circuit)),
         ("scheme", (scheme_obj.name, origin_module(scheme_obj.name))),
-        ("config", tuple(sorted(asdict(config).items()))),
+        ("config", config_fingerprint(config)),
         ("qubits_per_controller", qubits_per_controller),
         ("mesh_kind", mesh_kind),
     )

@@ -166,6 +166,8 @@ _REGISTRY: Dict[str, Scheme] = {}
 #: (module, sequence) per name — canonical ordering metadata, mirroring
 #: the workload registry (see :func:`scheme_names`).
 _ORIGIN: Dict[str, Tuple[str, int]] = {}
+#: Bumped by every register and unregister, so it doubles as the
+#: registry's :func:`generation`.
 _SEQUENCE = [0]
 
 
@@ -198,7 +200,8 @@ def register_scheme(name: str, *, description: str,
 
 def unregister(name: str) -> None:
     """Remove a scheme (tests use this to keep the registry clean)."""
-    _REGISTRY.pop(name, None)
+    if _REGISTRY.pop(name, None) is not None:
+        _SEQUENCE[0] += 1
     _ORIGIN.pop(name, None)
 
 
@@ -218,6 +221,14 @@ def ensure_builtin_schemes() -> None:
     import importlib
     for module in BUILTIN_SCHEME_MODULES:
         importlib.import_module(module)
+
+
+def generation() -> int:
+    """A number that changes whenever a scheme is registered or
+    unregistered.  Builtins are loaded first, so memos keyed on it (the
+    sweep service's shard memo) never see the pre-load registry."""
+    ensure_builtin_schemes()
+    return _SEQUENCE[0]
 
 
 def get_scheme(name) -> Scheme:

@@ -21,6 +21,20 @@ from typing import Dict, Mapping, Optional
 from ..errors import ReproError
 
 
+def _lifetimes_ns(t1_us: float, t2_us: Optional[float]):
+    """Validated (T1, T2) in nanoseconds; T2 defaults to T1."""
+    if t1_us <= 0:
+        raise ReproError("T1 must be positive, got {}".format(t1_us))
+    t2_us = t2_us if t2_us is not None else t1_us
+    if t2_us <= 0:
+        # Guard the exp(-t/T2) below: T2 = 0 used to divide by zero and
+        # negative T2 silently produced "fidelities" above 1.
+        raise ReproError("T2 must be positive, got {}".format(t2_us))
+    if t2_us > 2 * t1_us + 1e-12:
+        raise ReproError("T2 cannot exceed 2*T1")
+    return t1_us * 1000.0, t2_us * 1000.0
+
+
 def survival_probability(duration_ns: float, t1_us: float,
                          t2_us: Optional[float] = None) -> float:
     """Probability a qubit keeps its state over ``duration_ns``.
@@ -31,18 +45,8 @@ def survival_probability(duration_ns: float, t1_us: float,
     """
     if duration_ns < 0:
         raise ReproError("negative duration")
-    if t1_us <= 0:
-        raise ReproError("T1 must be positive, got {}".format(t1_us))
-    t2_us = t2_us if t2_us is not None else t1_us
-    if t2_us <= 0:
-        # Guard the exp(-t/T2) below: T2 = 0 used to divide by zero and
-        # negative T2 silently produced "fidelities" above 1.
-        raise ReproError("T2 must be positive, got {}".format(t2_us))
-    if t2_us > 2 * t1_us + 1e-12:
-        raise ReproError("T2 cannot exceed 2*T1")
+    t1_ns, t2_ns = _lifetimes_ns(t1_us, t2_us)
     t_ns = duration_ns
-    t1_ns = t1_us * 1000.0
-    t2_ns = t2_us * 1000.0
     # Average state fidelity of the idle channel (depolarizing-equivalent
     # average over the Bloch sphere): (1/6)(2 + 2 e^{-t/T2} + e^{-t/T1} + ...)
     # A standard simple form: F = (1 + e^{-t/T1} + 2 e^{-t/T2}) / 4 averaged
@@ -53,10 +57,24 @@ def survival_probability(duration_ns: float, t1_us: float,
 
 def circuit_fidelity(lifetimes_ns: Mapping[int, float], t1_us: float,
                      t2_us: Optional[float] = None) -> float:
-    """Product of per-qubit survival over their activity windows."""
+    """Product of per-qubit survival over their activity windows.
+
+    Bit-identical to multiplying :func:`survival_probability` per qubit
+    in mapping order, and raises what it would raise; T1/T2 are
+    validated once, at the first qubit (an empty mapping validates
+    nothing and returns 1.0).  With T2 = T1 (the default) both decay
+    factors are the same double, so it is computed once."""
     fidelity = 1.0
+    t1_ns = t2_ns = None
+    exp = math.exp
     for duration in lifetimes_ns.values():
-        fidelity *= survival_probability(duration, t1_us, t2_us)
+        if duration < 0:
+            raise ReproError("negative duration")
+        if t1_ns is None:
+            t1_ns, t2_ns = _lifetimes_ns(t1_us, t2_us)
+        decay1 = exp(-duration / t1_ns)
+        decay2 = decay1 if t2_ns == t1_ns else exp(-duration / t2_ns)
+        fidelity *= (1.0 + decay1 + 2.0 * decay2) / 4.0
     return fidelity
 
 

@@ -133,6 +133,10 @@ CHAOS_ROW_KEYS = {
 
 _SCALARS = (str, int, float, bool, type(None))
 
+#: Required-key tables of the row families that have one.
+_ROW_KEYS = {"sweep": SWEEP_ROW_KEYS, "service": SERVICE_ROW_KEYS,
+             "chaos": CHAOS_ROW_KEYS}
+
 
 class BenchSchemaError(ReproError):
     """Raised when a BENCH document violates the schema."""
@@ -185,6 +189,11 @@ def make_bench(name: str, results: List[Dict[str, object]],
 
 def _fail(path: str, message: str) -> None:
     raise BenchSchemaError("{}: {}".format(path, message))
+
+
+def _row_path(index: int, key: Optional[str] = None) -> str:
+    path = "results[{}]".format(index)
+    return path if key is None else "{}.{}".format(path, key)
 
 
 def _check_type(path: str, value: object, types, optional: bool = False):
@@ -241,45 +250,47 @@ def validate_bench(doc: object) -> Dict[str, object]:
     _check_type("results", doc["results"], list)
     if not doc["results"]:
         _fail("results", "must be non-empty")
+    kind = doc["kind"]
+    row_keys = _ROW_KEYS.get(kind)
+    # Valid rows are the common case (every make_bench runs this), so a
+    # field's path is only formatted once the field has failed.
     for i, row in enumerate(doc["results"]):
-        path = "results[{}]".format(i)
-        _check_type(path, row, dict)
+        if not isinstance(row, dict):
+            _check_type(_row_path(i), row, dict)
         for key, value in row.items():
-            _check_type("{}.{}".format(path, key), value, _SCALARS)
-        if doc["kind"] == "sweep":
-            for key, types in SWEEP_ROW_KEYS.items():
+            if not isinstance(value, _SCALARS):
+                _check_type(_row_path(i, key), value, _SCALARS)
+        if row_keys is not None:
+            for key, types in row_keys.items():
                 if key not in row:
-                    _fail("{}.{}".format(path, key), "missing sweep-row key")
-                _check_type("{}.{}".format(path, key), row[key], types)
+                    _fail(_row_path(i, key),
+                          "missing {}-row key".format(kind))
+                if not isinstance(row[key], types):
+                    _check_type(_row_path(i, key), row[key], types)
+        if kind == "sweep":
             present = [key for key in SWEEP_NOISE_ROW_KEYS if key in row]
             if present and len(present) != len(SWEEP_NOISE_ROW_KEYS):
                 missing = sorted(set(SWEEP_NOISE_ROW_KEYS) - set(present))
-                _fail("{}.{}".format(path, missing[0]),
+                _fail(_row_path(i, missing[0]),
                       "noisy sweep rows need all of {}".format(
                           sorted(SWEEP_NOISE_ROW_KEYS)))
             for key in present:
-                _check_type("{}.{}".format(path, key), row[key],
-                            SWEEP_NOISE_ROW_KEYS[key])
-        elif doc["kind"] == "service":
-            for key, types in SERVICE_ROW_KEYS.items():
-                if key not in row:
-                    _fail("{}.{}".format(path, key),
-                          "missing service-row key")
-                _check_type("{}.{}".format(path, key), row[key], types)
+                if not isinstance(row[key], SWEEP_NOISE_ROW_KEYS[key]):
+                    _check_type(_row_path(i, key), row[key],
+                                SWEEP_NOISE_ROW_KEYS[key])
+        elif kind == "service":
             if row["hits"] + row["misses"] != row["cells_total"]:
-                _fail(path, "hits + misses must equal cells_total")
-        elif doc["kind"] == "chaos":
-            for key, types in CHAOS_ROW_KEYS.items():
-                if key not in row:
-                    _fail("{}.{}".format(path, key), "missing chaos-row key")
-                _check_type("{}.{}".format(path, key), row[key], types)
+                _fail(_row_path(i), "hits + misses must equal cells_total")
+        elif kind == "chaos":
             by_site = (row["faults_http"] + row["faults_worker"] +
                        row["faults_scheduler"] + row["faults_diskcache"])
             if by_site != row["faults_total"]:
-                _fail(path, "per-site fault counts must sum to faults_total")
+                _fail(_row_path(i),
+                      "per-site fault counts must sum to faults_total")
         elif not any(isinstance(v, (int, float)) and not isinstance(v, bool)
                      for v in row.values()):
-            _fail(path, "benchmark row needs at least one numeric value")
+            _fail(_row_path(i),
+                  "benchmark row needs at least one numeric value")
     _check_type("results_sha256", doc["results_sha256"], str)
     expected = results_digest(doc["results"])
     if doc["results_sha256"] != expected:

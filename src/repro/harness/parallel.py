@@ -161,7 +161,7 @@ class SweepTask:
             ("substitution_fraction", repr(self.substitution_fraction)),
             ("device_seed", self.device_seed),
             ("shots", self.shots),
-            ("config", tuple(sorted(asdict(config).items()))),
+            ("config", compile_cache_mod.config_fingerprint(config)),
             ("noise", self.noise.to_json() if self.noise is not None
              else None),
             ("noise_shots", self.noise_shots),
@@ -225,17 +225,23 @@ def tasks_from_spec(spec: SweepSpec) -> List[SweepTask]:
     as picklable tasks, in the spec's deterministic cell order."""
     no_fastpath = not fastpath_enabled()
     tier = replay_tier()
+    cells = spec.cells()
+    # One origin lookup per distinct name, not per cell: each lookup
+    # re-imports the builtin registry modules.
+    modules = {name: registry.origin_module(name)
+               for name in {cell.workload for cell in cells}}
+    scheme_modules = {name: scheme_registry.origin_module(name)
+                      for name in {cell.scheme for cell in cells}}
     return [SweepTask(spec_name=cell.workload, scheme=cell.scheme,
                       scale=cell.scale,
                       substitution_fraction=spec.substitution_fraction,
                       device_seed=spec.device_seed, shots=cell.shots,
-                      module=registry.origin_module(cell.workload),
-                      scheme_module=scheme_registry.origin_module(
-                          cell.scheme),
+                      module=modules[cell.workload],
+                      scheme_module=scheme_modules[cell.scheme],
                       config=spec.config, noise=spec.noise,
                       noise_shots=spec.noise_shots,
                       no_fastpath=no_fastpath, replay_tier=tier)
-            for cell in spec.cells()]
+            for cell in cells]
 
 
 @dataclass
@@ -441,7 +447,7 @@ def _cell_compilation(task: SweepTask, circuit, mesh_kind: str):
     config = task.config or SimulationConfig()
     key = (task.spec_name, task.scheme, repr(task.scale),
            repr(task.substitution_fraction), mesh_kind,
-           tuple(sorted(asdict(config).items())))
+           compile_cache_mod.config_fingerprint(config))
     entry = _CELL_COMPILATIONS.get(key)
     if entry is None:
         if len(_CELL_COMPILATIONS) >= _CELL_COMPILATIONS_LIMIT:

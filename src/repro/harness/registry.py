@@ -158,6 +158,8 @@ _REGISTRY: Dict[str, Workload] = {}
 #: (module, sequence) per name — canonical ordering metadata (see
 #: :func:`workload_names`).
 _ORIGIN: Dict[str, Tuple[str, int]] = {}
+#: Bumped by every register and unregister, so it doubles as the
+#: registry's :func:`generation`.
 _SEQUENCE = [0]
 
 
@@ -197,7 +199,8 @@ def register_workload(name: str, *, size: int, min_size: int = 4,
 
 def unregister(name: str) -> None:
     """Remove a workload (tests use this to keep the registry clean)."""
-    _REGISTRY.pop(name, None)
+    if _REGISTRY.pop(name, None) is not None:
+        _SEQUENCE[0] += 1
     _ORIGIN.pop(name, None)
 
 
@@ -221,6 +224,14 @@ def ensure_builtin_workloads() -> None:
     import importlib
     for module in BUILTIN_WORKLOAD_MODULES:
         importlib.import_module(module)
+
+
+def generation() -> int:
+    """A number that changes whenever a workload is registered or
+    unregistered.  Builtins are loaded first, so memos keyed on it (the
+    sweep service's shard memo) never see the pre-load registry."""
+    ensure_builtin_workloads()
+    return _SEQUENCE[0]
 
 
 def get_workload(name: str) -> Workload:

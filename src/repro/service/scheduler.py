@@ -14,6 +14,9 @@ Sharding and dedup
     computing is a *dedup hit* (the submission just subscribes to the
     existing job); only genuinely new cells become jobs.  Two users
     sweeping overlapping grids pay for each overlapping cell once.
+    The shard itself is computed once per distinct spec content (see
+    :meth:`Scheduler._shard`), so a warm re-submission costs its store
+    probes, not a re-derivation of every task and key.
 
 Priorities and quotas
     Jobs are leased in ``(priority, FIFO)`` order — lower priority
@@ -57,7 +60,10 @@ from typing import Dict, List, Optional, Tuple
 import asyncio
 
 from ..chaos import plan as chaos_plan
+from ..compiler import schemes as scheme_registry
 from ..errors import ReproError
+from ..fastpath import fastpath_enabled, replay_tier
+from ..harness import registry as workload_registry
 from ..harness.benchjson import make_bench
 from ..harness.parallel import CellResult, SweepTask, tasks_from_spec
 from ..harness.spec import SweepSubmission
@@ -74,6 +80,10 @@ _LEASE_LATENCY = _metrics.histogram(
 _QUEUE_DEPTH = _metrics.gauge(
     "repro_service_queue_depth",
     "Queued (unleased) jobs at the last submit/grant")
+
+#: Distinct specs whose shard one scheduler remembers (see
+#: :meth:`Scheduler._shard`); the memo is dropped whole when full.
+_SHARD_MEMO_LIMIT = 64
 
 
 class ServiceError(ReproError):
@@ -143,8 +153,8 @@ class _Submission:
 
     id: str
     submission: SweepSubmission
-    tasks: List[SweepTask]
-    keys: List[str]
+    tasks: Tuple[SweepTask, ...]
+    keys: Tuple[str, ...]
     pending: set
     store_hits: int = 0
     dedup_hits: int = 0
@@ -232,6 +242,9 @@ class Scheduler:
         self._idempotency: Dict[str, str] = {}
         #: seconds from job enqueue to lease grant (volatile telemetry).
         self.lease_latencies: List[float] = []
+        #: shard memo: spec content + flags + registries -> (tasks, keys).
+        self._shards: Dict[tuple, Tuple[Tuple[SweepTask, ...],
+                                        Tuple[str, ...]]] = {}
 
     # -- submission side ---------------------------------------------------
 
@@ -244,10 +257,9 @@ class Scheduler:
         (flagged ``resubmitted``) instead of creating a duplicate —
         the retry-safety contract behind the client's submit retries.
         """
-        tasks = tasks_from_spec(submission.spec)
+        tasks, keys = self._shard(submission.spec)
         if not tasks:
             raise ServiceError("submission resolves to an empty grid")
-        keys = [task.cache_key() for task in tasks]
         idem = submission.idempotency_key
         async with self._work:
             if idem is not None and idem in self._idempotency:
@@ -306,6 +318,31 @@ class Scheduler:
             if fresh:
                 self._work.notify_all()
         return record.status()
+
+    def _shard(self, spec) -> Tuple[Tuple[SweepTask, ...],
+                                    Tuple[str, ...]]:
+        """The spec's cells as ``(tasks, cell keys)``, sharded once per
+        distinct spec content.
+
+        Tasks are a pure function of the spec's JSON, the fast-path
+        flags :func:`tasks_from_spec` captures and the workload and
+        scheme registries the grid resolves against, so together they
+        key the memo: equal specs under other names or owners (warm
+        re-submissions, client retries, overlapping CI submits) share
+        one shard, and a flag change or a newly registered workload
+        reshards.  Shards are tuples, shared read-only by every
+        submission that uses them."""
+        memo_key = (spec.to_json(), fastpath_enabled(), replay_tier(),
+                    workload_registry.generation(),
+                    scheme_registry.generation())
+        shard = self._shards.get(memo_key)
+        if shard is None:
+            tasks = tuple(tasks_from_spec(spec))
+            shard = (tasks, tuple(task.cache_key() for task in tasks))
+            if len(self._shards) >= _SHARD_MEMO_LIMIT:
+                self._shards.clear()
+            self._shards[memo_key] = shard
+        return shard
 
     def _store_has_verified(self, key: str) -> bool:
         """Submit-time store probe that trusts no stat: the first sight

@@ -35,6 +35,23 @@ class TestCompileKey:
         assert compile_key(
             circuit, config=SimulationConfig(neighbor_link_cycles=9)) != base
 
+    def test_key_is_pinned(self):
+        # A change here re-keys every compile store, so it must come
+        # with a COMPILE_CACHE_VERSION bump, never silently.
+        custom = SimulationConfig(cycle_ns=2.5, neighbor_link_cycles=9,
+                                  router_fanout=4)
+        assert compile_key(build_ghz(4)) == (
+            "c719d86ea84c56535cd3d216e1b0d76a2a2e4122c0617b4578bc569b75a2a026")
+        assert compile_key(build_ghz(4), config=SimulationConfig()) == (
+            "c719d86ea84c56535cd3d216e1b0d76a2a2e4122c0617b4578bc569b75a2a026")
+        assert compile_key(build_ghz(4), scheme="lockstep",
+                           config=custom) == (
+            "1a0a936d6f987b6e2afde5822937242c242a1fb9b8debfb0218c06095ac6268f")
+        assert compile_key(build_ghz(6), scheme="oracle",
+                           qubits_per_controller=2,
+                           mesh_kind="interaction") == (
+            "9ecefc45bfff5a987a82eaa07e4aafef1aa484426f9508e4948bc0cdf5d1ddcc")
+
     def test_salt_bump_changes_key(self, monkeypatch):
         circuit = build_ghz(4)
         base = compile_key(circuit)

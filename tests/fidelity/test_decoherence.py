@@ -1,5 +1,6 @@
 """Decoherence model and fidelity metrics."""
 
+import random
 
 import pytest
 
@@ -91,6 +92,57 @@ class TestCircuitFidelity:
         short = circuit_infidelity({0: 1000.0, 1: 1000.0}, 30.0)
         long = circuit_infidelity({0: 5000.0, 1: 5000.0}, 30.0)
         assert long > short
+
+
+def _reference_fidelity(lifetimes, t1_us, t2_us=None):
+    """The per-qubit definition, multiplied in mapping order."""
+    fidelity = 1.0
+    for duration in lifetimes.values():
+        fidelity *= survival_probability(duration, t1_us, t2_us)
+    return fidelity
+
+
+def _error_text(call):
+    with pytest.raises(ReproError) as excinfo:
+        call()
+    return str(excinfo.value)
+
+
+class TestCircuitFidelityExactness:
+    """``circuit_fidelity`` validates T1/T2 once and hoists the
+    constants; it must stay bit-identical to the per-qubit product and
+    raise exactly what ``survival_probability`` raises."""
+
+    @pytest.mark.parametrize("t1,t2", [
+        (30.0, None), (300.0, None), (50.0, 100.0), (80.0, 45.5),
+        (0.75, 1.5), (120, 7),
+    ])
+    def test_bit_identical_to_per_qubit_product(self, t1, t2):
+        rng = random.Random(repr((t1, t2)))
+        for size in (1, 2, 7, 64, 300):
+            lifetimes = {q: rng.uniform(0.0, 5e4) for q in range(size)}
+            lifetimes[size] = rng.randrange(0, 20000)  # int durations
+            lifetimes[size + 1] = 0.0
+            assert circuit_fidelity(lifetimes, t1, t2) == \
+                _reference_fidelity(lifetimes, t1, t2)
+
+    @pytest.mark.parametrize("lifetimes,t1,t2", [
+        ({0: 10.0, 1: -1.0}, 30.0, None),   # negative duration, later qubit
+        ({0: -1.0}, 30.0, None),
+        ({0: -1.0}, 0.0, None),             # both bad: duration wins
+        ({0: 10.0}, 0.0, None),
+        ({0: 10.0}, -5.0, None),
+        ({0: 10.0}, 10.0, 0.0),
+        ({0: 10.0}, 10.0, -3.0),
+        ({0: 10.0}, 10.0, 30.0),            # T2 > 2*T1
+    ])
+    def test_same_errors_as_per_qubit(self, lifetimes, t1, t2):
+        assert _error_text(lambda: circuit_fidelity(lifetimes, t1, t2)) == \
+            _error_text(lambda: _reference_fidelity(lifetimes, t1, t2))
+
+    def test_empty_mapping_is_one_without_validating(self):
+        assert circuit_fidelity({}, 30.0) == 1.0
+        assert circuit_fidelity({}, -1.0, 99.0) == 1.0
 
 
 class TestMetrics:

@@ -15,6 +15,7 @@ from repro.harness.parallel import (ORPHAN_TMP_SECONDS, CellResult,
                                     clear_cell_caches, run_cell,
                                     run_suite_parallel)
 from repro.isa import decoded
+from repro.noise.model import preset
 from repro.sim.config import SimulationConfig
 
 SCALE = 0.02
@@ -81,6 +82,35 @@ class TestTasks:
         reference = {o.name: o for o in tiny_outcomes}["logical_t_n432"]
         assert cell.makespan_cycles == reference.makespan_cycles["bisp"]
         assert cell.feedback_ops == reference.feedback_ops
+
+
+#: Pinned cell-store keys.  A change here re-keys every warm store, so
+#: it must come with a CACHE_FORMAT_VERSION bump, never silently.
+GOLDEN_CACHE_KEYS = [
+    (dict(spec_name="bv_n400", scheme="bisp", scale=0.05,
+          substitution_fraction=0.25, device_seed=1234),
+     "bb36df115e7e96ec0931f893fdb866cb77dfeea82d8fb5297295958f496ff01e"),
+    (dict(spec_name="qft_n30", scheme="lockstep", scale=0.1,
+          substitution_fraction=0.5, device_seed=7, shots=4,
+          config=SimulationConfig(cycle_ns=2.5, neighbor_link_cycles=9,
+                                  router_fanout=4)),
+     "09751bc68a2e7c92f90f5a16075a8693e16008ebf57abf7b9d05c12a89e5dfb0"),
+    (dict(spec_name="ghz_n100", scheme="oracle", scale=0.05,
+          substitution_fraction=0.25, device_seed=1234,
+          noise=preset("depolarizing_1e3"), noise_shots=64),
+     "5c6122de0ab9d3bac30dc608de98b57e9cc7926937f00a15022f048b66c11a92"),
+]
+
+
+class TestGoldenCacheKeys:
+    @pytest.mark.parametrize("fields,digest", GOLDEN_CACHE_KEYS)
+    def test_cache_key_is_pinned(self, fields, digest):
+        assert SweepTask(**fields).cache_key() == digest
+
+    def test_default_config_is_explicit_default(self):
+        fields, digest = GOLDEN_CACHE_KEYS[0]
+        task = SweepTask(config=SimulationConfig(), **fields)
+        assert task.cache_key() == digest
 
 
 class TestCache:

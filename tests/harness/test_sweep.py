@@ -383,3 +383,67 @@ class TestServiceRows:
         doc["results_sha256"] = results_digest(doc["results"])
         with pytest.raises(BenchSchemaError, match="schema_version"):
             validate_bench(doc)
+
+
+_SWEEP_ROW = {"workload": "w", "scheme": "bisp", "scale": 0.1, "shots": 1,
+              "num_qubits": 2, "num_ops": 2, "feedback_ops": 0,
+              "makespan_cycles": 100, "sync_stall_cycles": 0,
+              "runtime_ns": 400.0, "fidelity_proxy": 1.0}
+_NOISE_COLUMNS = {"fidelity_empirical": 0.9, "fidelity_ci_low": 0.85,
+                  "fidelity_ci_high": 0.95, "noise_method": "frame",
+                  "noise_shots": 64, "noise_seed": 5}
+_SERVICE_ROW = {"label": "smoke", "submissions": 2, "cells_total": 8,
+                "hits": 2, "misses": 6, "hit_rate": 0.25,
+                "leases_granted": 6, "leases_expired": 0}
+_CHAOS_ROW = {"label": "soak", "chaos_seed": 3, "cells_total": 8,
+              "faults_total": 4, "faults_http": 1, "faults_worker": 1,
+              "faults_scheduler": 1, "faults_diskcache": 1,
+              "worker_crashes": 1, "store_quarantines": 0,
+              "converged": True, "sweep_results_sha256": "ab" * 32}
+_ROWS = {"sweep": _SWEEP_ROW, "service": _SERVICE_ROW, "chaos": _CHAOS_ROW}
+
+
+def _without(row, key):
+    row = dict(row)
+    del row[key]
+    return row
+
+
+class TestBenchErrorMessages:
+    """A bad field in row k is reported as ``results[k].<field>: ...``,
+    word for word, for every row family."""
+
+    @pytest.mark.parametrize("kind,k,bad_row,message", [
+        ("sweep", 0, dict(_SWEEP_ROW, num_ops="2"),
+         "results[0].num_ops: expected int, got 'str'"),
+        ("sweep", 2, dict(_SWEEP_ROW, runtime_ns=None),
+         "results[2].runtime_ns: expected int/float, got 'NoneType'"),
+        ("sweep", 1, _without(_SWEEP_ROW, "fidelity_proxy"),
+         "results[1].fidelity_proxy: missing sweep-row key"),
+        ("sweep", 1, dict(_SWEEP_ROW, extra=[1]),
+         "results[1].extra: expected str/int/float/bool/NoneType, "
+         "got 'list'"),
+        ("sweep", 2, dict(_SWEEP_ROW, **dict(_NOISE_COLUMNS,
+                                             noise_method=3)),
+         "results[2].noise_method: expected str, got 'int'"),
+        ("sweep", 1, dict(_SWEEP_ROW, fidelity_empirical=0.9),
+         "results[1].fidelity_ci_high: noisy sweep rows need all of "
+         "['fidelity_ci_high', 'fidelity_ci_low', 'fidelity_empirical', "
+         "'noise_method', 'noise_seed', 'noise_shots']"),
+        ("sweep", 2, ["not", "a", "row"],
+         "results[2]: expected dict, got 'list'"),
+        ("service", 1, dict(_SERVICE_ROW, hit_rate="high"),
+         "results[1].hit_rate: expected int/float, got 'str'"),
+        ("service", 2, _without(_SERVICE_ROW, "leases_expired"),
+         "results[2].leases_expired: missing service-row key"),
+        ("chaos", 1, dict(_CHAOS_ROW, converged=1),
+         "results[1].converged: expected bool, got 'int'"),
+        ("chaos", 0, _without(_CHAOS_ROW, "sweep_results_sha256"),
+         "results[0].sweep_results_sha256: missing chaos-row key"),
+    ])
+    def test_bad_field_in_row_k(self, kind, k, bad_row, message):
+        rows = [dict(_ROWS[kind]) for _ in range(3)]
+        rows[k] = bad_row
+        with pytest.raises(BenchSchemaError) as excinfo:
+            make_bench("demo", rows, kind=kind)
+        assert str(excinfo.value) == message

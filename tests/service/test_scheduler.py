@@ -7,12 +7,18 @@ ourselves, which also makes crash timing deterministic.
 """
 
 import asyncio
+from dataclasses import replace
 
 import pytest
 
+from repro.circuits import build_ghz
+from repro.harness import registry
 from repro.harness.parallel import SweepTask, run_cell, tasks_from_spec
 from repro.harness.spec import SweepSpec, SweepSubmission
+from repro.noise.model import preset
+from repro.service import scheduler as scheduler_mod
 from repro.service.scheduler import Scheduler, ServiceError
+from repro.sim.config import SimulationConfig
 from repro.service.store import CellStore
 
 from svc_util import SCALE, serial_bench
@@ -317,6 +323,136 @@ class TestFetch:
             scheduler.status("s999999")
         with pytest.raises(ServiceError):
             asyncio.run(scheduler.fetch("s999999"))
+
+
+@pytest.fixture
+def shard_calls(monkeypatch):
+    """Every spec the scheduler shards, in order."""
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return tasks_from_spec(spec)
+
+    monkeypatch.setattr(scheduler_mod, "tasks_from_spec", counted)
+    return calls
+
+
+class TestShardReuse:
+    """``submit`` shards each distinct spec content once; anything the
+    shard depends on beyond the spec JSON forces a reshard."""
+
+    def test_equal_content_shards_once(self, tmp_path, tiny_spec,
+                                       shard_calls):
+        twin = SweepSpec.from_json(tiny_spec.to_json())
+        assert twin is not tiny_spec
+
+        async def scenario():
+            scheduler = make_scheduler(tmp_path)
+            first = await scheduler.submit(SweepSubmission(
+                spec=tiny_spec, name="a", owner="alice"))
+            second = await scheduler.submit(SweepSubmission(
+                spec=twin, name="b", owner="bob", priority=3))
+            return scheduler, first, second
+
+        scheduler, first, second = asyncio.run(scenario())
+        assert len(shard_calls) == 1
+        assert second["dedup_hits"] == first["misses"] == 4
+        records = scheduler._submissions
+        assert records[second["id"]].keys is records[first["id"]].keys
+        assert records[second["id"]].tasks is records[first["id"]].tasks
+
+    @pytest.mark.parametrize("change", [
+        {"device_seed": 99},
+        {"noise_shots": 128},
+        {"config": SimulationConfig(neighbor_link_cycles=9)},
+        {"noise": preset("depolarizing_1e3")},
+    ])
+    def test_content_changes_give_distinct_keys(self, tmp_path, tiny_spec,
+                                                shard_calls, change):
+        varied = replace(tiny_spec, **change)
+        scheduler = make_scheduler(tmp_path)
+        _, base_keys = scheduler._shard(tiny_spec)
+        tasks, keys = scheduler._shard(varied)
+        assert len(shard_calls) == 2
+        assert not set(keys) & set(base_keys)
+        assert list(keys) == [task.cache_key()
+                              for task in tasks_from_spec(varied)]
+
+    @pytest.mark.parametrize("name,value,field,expected", [
+        ("REPRO_NO_FASTPATH", "1", "no_fastpath", True),
+        ("REPRO_REPLAY_TIER", "block", "replay_tier", "block"),
+    ])
+    def test_flag_change_reshards(self, tmp_path, tiny_spec, shard_calls,
+                                  monkeypatch, name, value, field,
+                                  expected):
+        monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
+        monkeypatch.delenv("REPRO_REPLAY_TIER", raising=False)
+        scheduler = make_scheduler(tmp_path)
+        before, _ = scheduler._shard(tiny_spec)
+        monkeypatch.setenv(name, value)
+        after, _ = scheduler._shard(tiny_spec)
+        assert len(shard_calls) == 2
+        assert {getattr(task, field) for task in before} != {expected}
+        assert {getattr(task, field) for task in after} == {expected}
+        monkeypatch.delenv(name)
+        scheduler._shard(tiny_spec)
+        assert len(shard_calls) == 2  # back to the first shard
+
+    def test_registered_workload_reshards_tag_spec(self, tmp_path,
+                                                    shard_calls):
+        spec = SweepSpec(tags=("shard_memo_test",), schemes=("bisp",),
+                         scales=(SCALE,))
+
+        def workload(name):
+            return registry.Workload(name=name, builder=build_ghz, size=4,
+                                     tags=("shard_memo_test",))
+
+        scheduler = make_scheduler(tmp_path)
+        registry.register(workload("shard_memo_a"))
+        try:
+            first, _ = scheduler._shard(spec)
+            assert scheduler._shard(spec)[0] is first
+            registry.register(workload("shard_memo_b"))
+            second, _ = scheduler._shard(spec)
+            registry.unregister("shard_memo_b")
+            third, _ = scheduler._shard(spec)
+        finally:
+            registry.unregister("shard_memo_a")
+            registry.unregister("shard_memo_b")
+        assert [t.spec_name for t in first] == ["shard_memo_a"]
+        assert [t.spec_name for t in second] == ["shard_memo_a",
+                                                 "shard_memo_b"]
+        assert [t.spec_name for t in third] == ["shard_memo_a"]
+        assert len(shard_calls) == 3
+
+    def test_memo_is_bounded(self, tmp_path, tiny_spec, monkeypatch):
+        monkeypatch.setattr(scheduler_mod, "_SHARD_MEMO_LIMIT", 2)
+        scheduler = make_scheduler(tmp_path)
+        for seed in range(5):
+            scheduler._shard(replace(tiny_spec, device_seed=seed))
+            assert len(scheduler._shards) <= 2
+
+    def test_warm_fetch_matches_run_sweep(self, tmp_path, tiny_spec,
+                                          shard_calls):
+        async def scenario():
+            scheduler = make_scheduler(tmp_path)
+            cold = await scheduler.submit(SweepSubmission(
+                spec=tiny_spec, name="cold"))
+            await drain(scheduler)
+            await scheduler.fetch(cold["id"])
+            warm = await scheduler.submit(SweepSubmission(
+                spec=SweepSpec.from_json(tiny_spec.to_json()),
+                name="tiny", owner="other"))
+            assert warm["state"] == "done"
+            assert warm["store_hits"] == 4
+            return await scheduler.fetch(warm["id"])
+
+        doc = asyncio.run(scenario())
+        assert len(shard_calls) == 1
+        reference = serial_bench(tiny_spec, name="tiny")
+        assert doc["results_sha256"] == reference["results_sha256"]
+        assert doc["results"] == reference["results"]
 
 
 class TestMetrics:
